@@ -18,6 +18,7 @@ for the Figure-11 micro-benchmarks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -35,7 +36,7 @@ from repro.obs.audit import DecisionAudit, PlacementDecision
 from repro.obs.logutil import get_logger
 from repro.schedulers.base import Scheduler
 from repro.workloads.colocation import InterferenceModel
-from repro.workloads.job import Job, JobRecord, JobStatus
+from repro.workloads.job import Job, JobRecord, JobStatus, remove_jobs
 
 #: Fallback duration estimate when the estimator is ablated away.
 RUNTIME_AGNOSTIC_ESTIMATE = 3600.0
@@ -382,8 +383,8 @@ class LucidScheduler(Scheduler):
                 find_mate=self._find_mate, sharing_mode=self._sharing_mode,
                 now=now, audit=self.audit)
         self.binder.end_pass()
+        remove_jobs(self.queue, placed)
         for job in placed:
-            self.queue.remove(job)
             self._main_start[job.job_id] = now
 
     # ------------------------------------------------------------------
@@ -391,7 +392,9 @@ class LucidScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _recent_hourly_series(self, now: float, hours: int = 48) -> np.ndarray:
         cutoff = now - hours * SECONDS_PER_HOUR
-        recent = [t for t in self._submit_times if t >= cutoff]
+        # Submissions arrive at nondecreasing sim time, so the window is a
+        # suffix of ``_submit_times``.
+        recent = self._submit_times[bisect_left(self._submit_times, cutoff):]
         if not recent:
             return np.zeros(hours)
         series, _ = hourly_series(recent, start_time=cutoff, end_time=now)
@@ -401,7 +404,8 @@ class LucidScheduler(Scheduler):
         cfg = self.config
         series = self._recent_hourly_series(now)
         current = float(series[-1]) if series.size else 0.0
-        forecast = self.throughput_model.forecast_next(series[:-1], now)
+        with self.profile_span("lucid.forecast"):
+            forecast = self.throughput_model.forecast_next(series[:-1], now)
         current_level = self.throughput_model.load_level(current)
         forecast_level = self.throughput_model.load_level(forecast)
 
@@ -434,7 +438,8 @@ class LucidScheduler(Scheduler):
                 self.queue.append(job)
 
         if self.update_engine is not None:
-            refitted = self.update_engine.maybe_refit(now)
+            with self.profile_span("lucid.refit"):
+                refitted = self.update_engine.maybe_refit(now)
             if refitted:
                 metrics = getattr(self.engine, "metrics", None)
                 if metrics is not None:

@@ -28,7 +28,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import GPUS_PER_NODE
 from repro.cluster.placement import best_fit_single_node
-from repro.workloads.job import Job
+from repro.workloads.job import Job, remove_jobs
 from repro.workloads.model_zoo import ResourceProfile
 
 DEFAULT_T_PROF = 200.0
@@ -116,8 +116,8 @@ class NonIntrusiveProfiler:
                 break
             engine.start_job(job, gpus, time_limit=self.t_prof,
                              profiling=True)
-            self.queue.remove(job)
             started.append(job)
+        remove_jobs(self.queue, started)
         return started
 
     # ------------------------------------------------------------------

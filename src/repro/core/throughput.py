@@ -21,6 +21,7 @@ import numpy as np
 from repro.models.encoding import (
     SECONDS_PER_HOUR,
     hourly_series,
+    throughput_feature_row,
     throughput_feature_table,
 )
 from repro.models.gam import GA2MRegressor, GlobalExplanation
@@ -113,13 +114,15 @@ class ThroughputPredictModel:
         """Forecast the next hour given the recent observed hours.
 
         ``next_time`` is the timestamp of the hour being forecast; the
-        recent series must end with the hour immediately before it.
+        recent series must end with the hour immediately before it.  Only
+        the feature row of that hour is built: every feature is causal, so
+        it equals the last row of the full table.
         """
         self._check_fitted()
         extended = np.append(np.asarray(recent_series, dtype=float), 0.0)
         start = next_time - (len(extended) - 1) * SECONDS_PER_HOUR
-        X, _ = throughput_feature_table(extended, start_time=start)
-        return float(max(0.0, self._model.predict(X[-1:])[0]))
+        X = throughput_feature_row(extended, start_time=start)
+        return float(max(0.0, self._model.predict(X)[0]))
 
     def load_level(self, forecast: float) -> float:
         """Forecast relative to the historical median (1.0 = typical)."""

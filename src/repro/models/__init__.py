@@ -28,6 +28,7 @@ from repro.models.encoding import (
     rolling_median,
     shift,
     soft_sum,
+    throughput_feature_row,
     throughput_feature_table,
     time_features,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "rolling_median",
     "shift",
     "soft_sum",
+    "throughput_feature_row",
     "throughput_feature_table",
     "time_features",
     "RandomForestClassifier",

@@ -14,6 +14,8 @@ import numpy as np
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86_400.0
+#: Default decay of the weighted soft sums.
+SOFT_DECAY = 0.7
 
 
 class LabelEncoder:
@@ -84,9 +86,13 @@ def _rolling(values: np.ndarray, window: int, fn) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
     for i in range(len(values)):
-        lo = max(0, i - window)
-        out[i] = fn(values[lo:i]) if i > lo else (values[0] if i == 0 else values[i - 1])
+        out[i] = _rolling_at(values, i, window, fn)
     return out
+
+
+def _rolling_at(values: np.ndarray, i: int, window: int, fn) -> float:
+    lo = max(0, i - window)
+    return fn(values[lo:i]) if i > lo else (values[0] if i == 0 else values[i - 1])
 
 
 def shift(values: np.ndarray, lag: int, fill: Optional[float] = None) -> np.ndarray:
@@ -103,27 +109,83 @@ def shift(values: np.ndarray, lag: int, fill: Optional[float] = None) -> np.ndar
     return out
 
 
-def soft_sum(values: np.ndarray, window: int, decay: float = 0.7) -> np.ndarray:
+def _shift_at(values: np.ndarray, i: int, lag: int) -> float:
+    """``shift(values, lag)[i]`` without building the lagged series."""
+    return values[i - lag] if i >= lag else values[0]
+
+
+def soft_sum(values: np.ndarray, window: int,
+             decay: float = SOFT_DECAY) -> np.ndarray:
     """Exponentially weighted trailing sum ("weighted soft summation", §3.5.2).
 
     ``out[t] = sum_{k=1..window} decay^(k-1) * values[t-k]``; more recent
     history weighs more.
     """
+    weights = _soft_weights(window, decay)
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    for i in range(len(values)):
+        out[i] = _soft_sum_at(values, i, weights)
+    return out
+
+
+def _soft_weights(window: int, decay: float) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be >= 1")
     if not 0 < decay <= 1:
         raise ValueError("decay must be in (0, 1]")
-    values = np.asarray(values, dtype=float)
-    out = np.zeros_like(values)
-    weights = decay ** np.arange(window)
-    for i in range(len(values)):
-        lo = max(0, i - window)
-        past = values[lo:i][::-1]  # most recent first
-        if past.size:
-            out[i] = float(np.dot(past, weights[:past.size]))
-        elif i == 0:
-            out[i] = values[0] * weights.sum()
-    return out
+    return decay ** np.arange(window)
+
+
+def _soft_sum_at(values: np.ndarray, i: int, weights: np.ndarray) -> float:
+    past = values[max(0, i - weights.size):i][::-1]  # most recent first
+    if past.size:
+        return float(np.dot(past, weights[:past.size]))
+    return values[0] * weights.sum()  # i == 0: no history yet
+
+
+def _mean_at(values: np.ndarray, i: int, window: int) -> float:
+    return _rolling_at(values, i, window, np.mean)
+
+
+def _median_at(values: np.ndarray, i: int, window: int) -> float:
+    return _rolling_at(values, i, window, np.median)
+
+
+def _soft_at(values: np.ndarray, i: int, window: int) -> float:
+    return _soft_sum_at(values, i, _soft_weights(window, SOFT_DECAY))
+
+
+#: Feature family -> (whole-series builder, builder of the value at one
+#: index).  The rolling and soft-sum builders loop over the same
+#: per-index kernels, and ``_shift_at`` picks the element ``shift`` puts
+#: at that index, so a table row and a single-row build agree bit for bit.
+_FAMILIES = {
+    "shift": (shift, _shift_at),
+    "mean": (rolling_mean, _mean_at),
+    "median": (rolling_median, _median_at),
+    "soft": (soft_sum, _soft_at),
+}
+
+#: The Figure-7a feature columns in table order, as ``(name, family,
+#: window)``.  ``window`` counts series steps; ``None`` means one day of
+#: steps.  Absolute calendar indices ("day", "month") are deliberately
+#: excluded: a forecaster trained on one window and applied to the next
+#: would see them out of distribution and memorize per-day offsets.
+#: Periodic encodings (hour, dayofweek) carry the generalizable signal.
+THROUGHPUT_FEATURES: Tuple[Tuple[str, str, Optional[int]], ...] = (
+    ("hour", "calendar", None),
+    ("dayofweek", "calendar", None),
+    ("shift_1h", "shift", 1),
+    ("shift_1d", "shift", None),
+    ("roll_mean_1h", "mean", 1),
+    ("roll_mean_3h", "mean", 3),
+    ("roll_median_1h", "median", 1),
+    ("roll_median_6h", "median", 6),
+    ("soft_1h", "soft", 1),
+    ("soft_3h", "soft", 3),
+    ("soft_1d", "soft", None),
+)
 
 
 def throughput_feature_table(series: np.ndarray,
@@ -132,39 +194,52 @@ def throughput_feature_table(series: np.ndarray,
                              ) -> Tuple[np.ndarray, List[str]]:
     """Build the Figure-7a feature matrix for an hourly throughput series.
 
-    Features mirror the paper's list: calendar encodings (``hour``, ``day``
-    ...), lags (``shift_1h``, ``shift_1d``), rolling statistics
-    (``roll_mean_1h``, ``roll_median_1h``) and weighted soft sums
-    (``soft_1h``, ``soft_3h``, ``soft_1d``, ``soft_1d_njob``).
+    Features mirror the paper's list (:data:`THROUGHPUT_FEATURES`):
+    calendar encodings (``hour``, ``dayofweek``), lags (``shift_1h``,
+    ``shift_1d``), rolling statistics (``roll_mean_1h``,
+    ``roll_median_1h`` ...) and weighted soft sums (``soft_1h``,
+    ``soft_3h``, ``soft_1d``).
 
     Returns ``(X, feature_names)`` aligned with the input series, suitable
     for one-step-ahead forecasting (every feature is causal).
     """
     series = np.asarray(series, dtype=float)
+    cal = time_features(start_time + np.arange(len(series)) * step_seconds)
+    day = _steps_per_day(step_seconds)
+    columns = [cal[name] if family == "calendar"
+               else _FAMILIES[family][0](series,
+                                         day if window is None else window)
+               for name, family, window in THROUGHPUT_FEATURES]
+    return np.column_stack(columns), [f[0] for f in THROUGHPUT_FEATURES]
+
+
+def throughput_feature_row(series: np.ndarray,
+                           start_time: float = 0.0,
+                           step_seconds: float = SECONDS_PER_HOUR
+                           ) -> np.ndarray:
+    """The last row of :func:`throughput_feature_table`, as a 1-row matrix.
+
+    Reads only the trailing windows that row needs, with the same
+    arithmetic as the table, so the row is bit-identical to
+    ``throughput_feature_table(series, ...)[0][-1:]``.  Forecasting the
+    next step needs only this row.
+    """
+    series = np.asarray(series, dtype=float)
     n = len(series)
-    times = start_time + np.arange(n) * step_seconds
-    cal = time_features(times)
-    steps_per_day = max(1, int(round(SECONDS_PER_DAY / step_seconds)))
-    # NOTE: absolute calendar indices ("day", "month") are deliberately
-    # excluded: a forecaster trained on one window and applied to the next
-    # would see them out of distribution and memorize per-day offsets.
-    # Periodic encodings (hour, dayofweek) carry the generalizable signal.
-    columns = {
-        "hour": cal["hour"],
-        "dayofweek": cal["dayofweek"],
-        "shift_1h": shift(series, 1),
-        "shift_1d": shift(series, steps_per_day),
-        "roll_mean_1h": rolling_mean(series, 1),
-        "roll_mean_3h": rolling_mean(series, 3),
-        "roll_median_1h": rolling_median(series, 1),
-        "roll_median_6h": rolling_median(series, 6),
-        "soft_1h": soft_sum(series, 1),
-        "soft_3h": soft_sum(series, 3),
-        "soft_1d": soft_sum(series, steps_per_day),
-    }
-    names = list(columns)
-    X = np.column_stack([columns[name] for name in names])
-    return X, names
+    if n == 0:
+        raise ValueError("series must not be empty")
+    i = n - 1
+    cal = time_features(start_time + np.arange(i, n) * step_seconds)
+    day = _steps_per_day(step_seconds)
+    row = [cal[name][0] if family == "calendar"
+           else _FAMILIES[family][1](series, i,
+                                     day if window is None else window)
+           for name, family, window in THROUGHPUT_FEATURES]
+    return np.array([row], dtype=float)
+
+
+def _steps_per_day(step_seconds: float) -> int:
+    return max(1, int(round(SECONDS_PER_DAY / step_seconds)))
 
 
 def hourly_series(event_times: Sequence[float],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.workloads.model_zoo import ResourceProfile
 
@@ -31,9 +31,13 @@ class JobStatus(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
     """A deep-learning training job as replayed by the simulator.
+
+    Equality is identity: two submissions with equal fields are still two
+    jobs, and ``queue.remove(job)`` must take out that very job without
+    comparing every field of every job queued before it.
 
     Attributes
     ----------
@@ -104,6 +108,11 @@ class Job:
     estimated_duration: Optional[float] = None
     priority: float = 0.0
 
+    # Spelled out rather than inherited so the class keeps its own
+    # ``__eq__`` for tools that wrap it (perfbench/tracing.py counts it).
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError(f"job {self.job_id}: duration must be > 0")
@@ -141,6 +150,17 @@ class Job:
             amp=self.amp,
             measured_profile=self.measured_profile,
         )
+
+
+def remove_jobs(queue: List[Job], gone: Sequence[Job]) -> None:
+    """Take every job of ``gone`` out of ``queue`` in one sweep, in place.
+
+    Order of the rest is kept.  One sweep instead of a ``queue.remove``
+    per job keeps a pass that places many jobs linear in the queue length.
+    """
+    if gone:
+        ids = {id(job) for job in gone}
+        queue[:] = [job for job in queue if id(job) not in ids]
 
 
 @dataclass

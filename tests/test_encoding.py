@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.models.encoding import (
+    THROUGHPUT_FEATURES,
     LabelEncoder,
     hourly_series,
     rolling_mean,
     rolling_median,
     shift,
     soft_sum,
+    throughput_feature_row,
     throughput_feature_table,
     time_features,
 )
@@ -97,6 +100,48 @@ class TestThroughputTable:
         X2, _ = throughput_feature_table(bumped)
         assert np.allclose(X1[30], X2[30]), "row 30 saw its own value"
         assert not np.allclose(X1[31], X2[31])  # but the next row does
+
+
+def _series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "poisson":
+        return rng.poisson(4.0, n).astype(float)
+    return rng.uniform(0.0, 50.0, n)
+
+
+def _assert_row_is_last_table_row(series, start_time, step=3600.0):
+    row = throughput_feature_row(series, start_time, step)
+    table, _ = throughput_feature_table(series, start_time, step)
+    assert row.shape == (1, table.shape[1])
+    assert row[0].tobytes() == table[-1].tobytes(), (len(series), start_time)
+
+
+class TestThroughputRow:
+    """``throughput_feature_row`` is the last table row, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["zeros", "poisson", "uniform"])
+    def test_matches_table_for_every_length(self, kind):
+        # n <= 24 puts shift_1d in the head fill; 1 is the lone-row case.
+        for n in range(1, 81):
+            series = _series(kind, n, seed=n)
+            for start_time in (0.0, 7 * 3600.0, 1234.5678, -98_765.4321):
+                _assert_row_is_last_table_row(series, start_time)
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=80),
+           st.floats(-1e7, 1e7),
+           st.sampled_from([3600.0, 1800.0, 900.0, 7200.0]))
+    def test_matches_table_on_random_series(self, values, start_time, step):
+        _assert_row_is_last_table_row(np.array(values), start_time, step)
+
+    def test_columns_come_from_one_definition(self):
+        _, names = throughput_feature_table(np.ones(30))
+        assert names == [name for name, _, _ in THROUGHPUT_FEATURES]
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError):
+            throughput_feature_row(np.zeros(0))
 
 
 class TestHourlySeries:

@@ -361,6 +361,38 @@ class TestLucidDegradation:
         # Nothing can finish inside a dead profiler.
         assert result.profiler_finish_rate() == 0.0
 
+    def test_recent_hourly_series_bisect_matches_scan(self, monkeypatch):
+        """The bisected submission window equals a full scan on every
+        control pass of a faulty replay."""
+        import numpy as np
+
+        from repro.core import LucidScheduler
+        from repro.models.encoding import SECONDS_PER_HOUR, hourly_series
+
+        bisected = LucidScheduler._recent_hourly_series
+        checked = []
+
+        def both(scheduler, now, hours=48):
+            series = bisected(scheduler, now, hours)
+            cutoff = now - hours * SECONDS_PER_HOUR
+            recent = [t for t in scheduler._submit_times if t >= cutoff]
+            scanned = (hourly_series(recent, start_time=cutoff,
+                                     end_time=now)[0]
+                       if recent else np.zeros(hours))
+            assert series.tobytes() == scanned.tobytes()
+            checked.append(len(recent))
+            return series
+
+        monkeypatch.setattr(LucidScheduler, "_recent_hourly_series", both)
+        spec = FaultSpec(seed=5, node_mtbf=30_000.0, node_mttr=600.0,
+                         profiler_mtbf=30_000.0, profiler_mttr=600.0,
+                         crash_rate=1.0, slowdown_rate=0.5)
+        result, scheduler = self._run_lucid(spec)
+        assert result.faults.job_crashes > 0
+        assert checked and max(checked) > 0
+        times = scheduler._submit_times
+        assert times == sorted(times)
+
     def test_lucid_survives_stochastic_faults(self):
         """Mixed node/crash/straggler faults: the run completes and the
         failure accounting is consistent."""

@@ -114,6 +114,14 @@ class TestProfilerWiring:
         assert profiler.counters.get("estimator_predictions", 0) > 0
         assert profiler.span_counts.get("lucid.control", 0) > 0
         assert profiler.span_counts.get("lucid.orchestrate", 0) > 0
+        # Every control pass forecasts once and offers the Update Engine
+        # one refit, each inside its own sub-span of ``lucid.control``.
+        control = profiler.span_counts["lucid.control"]
+        assert profiler.span_counts.get("lucid.forecast") == control
+        assert profiler.span_counts.get("lucid.refit") == control
+        assert profiler.span_seconds["lucid.forecast"] + \
+            profiler.span_seconds["lucid.refit"] <= \
+            profiler.span_seconds["lucid.control"]
 
 
 class TestBitIdentity:

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
@@ -159,3 +160,41 @@ def test_sjf_never_loses_to_fifo_by_much(jobs):
     sjf = run(SJFScheduler)
     fifo = run(FIFOScheduler)
     assert sjf.avg_jct <= fifo.avg_jct * 1.5 + 60.0
+
+
+# ---------------------------------------------------------------------------
+# Job identity: equal fields, distinct jobs
+# ---------------------------------------------------------------------------
+_queue_ops = st.lists(
+    st.tuples(st.sampled_from(["append", "remove", "remove_jobs", "in"]),
+              st.integers(0, 3)),
+    max_size=40)
+
+
+@given(_queue_ops)
+def test_queue_operations_follow_job_identity(ops):
+    """Twins with equal fields stay distinct jobs in a queue: removing one
+    removes that object, never its equal twin."""
+    from repro.workloads.job import remove_jobs
+
+    twins = [make_job(job_id=7) for _ in range(4)]
+    assert twins[0] != twins[1] and twins[0] == twins[0]
+    queue, model = [], []  # model holds the ids of queued jobs, in order
+    for op, index in ops:
+        job = twins[index]
+        if op == "append":
+            queue.append(job)
+            model.append(id(job))
+        elif op == "in":
+            assert (job in queue) == (id(job) in model)
+        elif op == "remove_jobs":
+            remove_jobs(queue, [job])
+            model = [i for i in model if i != id(job)]
+        elif id(job) in model:
+            queue.remove(job)
+            model.remove(id(job))
+        else:
+            with pytest.raises(ValueError):
+                queue.remove(job)
+        assert [id(j) for j in queue] == model
+    assert len({hash(j) for j in twins}) == len(twins)

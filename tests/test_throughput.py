@@ -37,6 +37,19 @@ class TestFitting:
 
 
 class TestForecasting:
+    def test_forecast_next_predicts_from_last_table_row(self, fitted):
+        from repro.models.encoding import throughput_feature_table
+
+        series = diurnal_series(days=3, seed=5)
+        for hours in (1, 12, 24, 25, 48):
+            recent = series[:hours]
+            next_time = 86_400.0 + hours * 3600.0 + 0.25
+            extended = np.append(recent, 0.0)
+            start = next_time - hours * 3600.0
+            table, _ = throughput_feature_table(extended, start_time=start)
+            expected = max(0.0, fitted._model.predict(table[-1:])[0])
+            assert fitted.forecast_next(recent, next_time) == expected
+
     def test_one_step_ahead_accuracy(self, fitted):
         series = diurnal_series(seed=9)
         preds = fitted.predict_series(series)
