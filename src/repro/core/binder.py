@@ -21,7 +21,7 @@ is nearly idle and no burst is forecast.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.placement import find_shared
 from repro.obs.audit import BinderVerdict, DecisionAudit
@@ -38,6 +38,58 @@ class PackingMode(enum.Enum):
     @property
     def gss_capacity(self) -> int:
         return self.value
+
+
+class _Candidates(NamedTuple):
+    """Mate candidates of one (VC, GPU count) for one pass."""
+
+    #: ``(mate, pass-level reason or None)`` in running-job order.
+    entries: List[Tuple[Job, Optional[str]]]
+    #: Mates without a pass-level reason, by ascending sharing score.
+    viable: List[Job]
+
+
+class _MateTable:
+    """Exclusive running jobs by (VC, GPU count), indexed when a pass
+    begins; each key's pass-level reasons are settled on first use."""
+
+    def __init__(self, engine, remaining_estimate: Callable[[Job], float],
+                 min_mate_remaining: float) -> None:
+        self._engine = engine
+        self._remaining_estimate = remaining_estimate
+        self._min_mate_remaining = min_mate_remaining
+        self._mates: Dict[Tuple[str, int], List[Job]] = {}
+        self._settled: Dict[Tuple[str, int], _Candidates] = {}
+        for mate in engine.running_jobs():
+            if (mate.status is JobStatus.RUNNING
+                    and mate.sharing_score is not None
+                    and mate.gpu_num <= engine.cluster.gpus_per_node
+                    and not engine.has_mates(mate)):
+                self._mates.setdefault((mate.vc, mate.gpu_num),
+                                       []).append(mate)
+
+    def candidates(self, key: Tuple[str, int]) -> _Candidates:
+        found = self._settled.get(key)
+        if found is None:
+            entries = [(mate, self._reason(mate))
+                       for mate in self._mates.get(key, [])]
+            # Stable sort: within a score, running-job order breaks ties.
+            viable = sorted(  # repro: noqa RPR121 — once per shape per pass
+                (mate for mate, reason in entries if reason is None),
+                key=lambda mate: mate.sharing_score)
+            found = self._settled[key] = _Candidates(entries, viable)
+        return found
+
+    def _reason(self, mate: Job) -> Optional[str]:
+        """Why ``mate`` can host no job this pass; ``None`` when it may."""
+        if self._remaining_estimate(mate) < self._min_mate_remaining:
+            return "mate_finishing"  # packing buys nothing
+        if any(not g.healthy or g.fault_slow < 1.0
+               for g in self._engine.gpus_of(mate)):
+            # Fault degradation: never pack onto a node that is draining
+            # after a failure or crawling through a straggler window.
+            return "node_draining"
+        return None
 
 
 class AffineJobpairBinder:
@@ -59,7 +111,7 @@ class AffineJobpairBinder:
         self.base_capacity = gss_capacity
         self.mode = PackingMode.DEFAULT if gss_capacity == 2 else PackingMode.APATHETIC
         self.min_mate_remaining = min_mate_remaining
-        self._pass_index: Optional[dict] = None
+        self._pass_table: Optional[_MateTable] = None
         #: Optional :class:`repro.obs.audit.DecisionAudit`; when set,
         #: every mate search leaves a :class:`BinderVerdict` explaining
         #: the accepted mate or the rejection-reason census.
@@ -95,7 +147,9 @@ class AffineJobpairBinder:
         same GPU demand on a single node; the pair must satisfy the GSS
         budget, fit device memory and pass the time-awareness filter.
         Among valid candidates the lowest-sharing-score (least
-        interference) mate wins.
+        interference) mate wins.  Inside a pass the candidates come from
+        the table :meth:`begin_pass` built; outside one, from a table
+        built for this call alone.
         """
         if not self.sharing_enabled:
             return self._verdict(job, None, rejections={"sharing_disabled": 1})
@@ -105,22 +159,22 @@ class AffineJobpairBinder:
         if job.sharing_score is None:
             # unprofiled jobs are never packed
             return self._verdict(job, None, rejections={"job_unprofiled": 1})
-        if self._pass_index is not None:
-            candidates = self._pass_index.get((job.vc, job.gpu_num), [])
-        else:
-            candidates = engine.running_jobs()
+        table = self._pass_table
+        if table is None:
+            table = _MateTable(engine, remaining_estimate,
+                               self.min_mate_remaining)
+        candidates = table.candidates((job.vc, job.gpu_num))
         best: Optional[Job] = None
         best_key = None
-        rejections: Optional[Dict[str, int]] = (
-            {} if self.audit is not None else None)
-        n_candidates = 0
-        for mate in candidates:
-            n_candidates += 1
-            reason = self._reject_reason(engine, job, mate,
-                                         remaining_estimate)
+        # Ascending scores: the first mate over the GSS budget ends the
+        # scan, and so does the first that scores worse than the best.
+        for mate in candidates.viable:
+            if best is not None and mate.sharing_score > best.sharing_score:
+                break
+            reason = self._reject_reason(engine, job, mate, None)
+            if reason == "gss_budget":
+                break
             if reason is not None:
-                if rejections is not None:
-                    rejections[reason] = rejections.get(reason, 0) + 1
                 continue
             key = (mate.sharing_score,
                    self._cpu_overload(engine, job, mate),
@@ -128,8 +182,14 @@ class AffineJobpairBinder:
             if best_key is None or key < best_key:
                 best_key = key
                 best = mate
-        return self._verdict(job, best, rejections=rejections or {},
-                             candidates=n_candidates)
+        rejections: Dict[str, int] = {}
+        if self.audit is not None:
+            for mate, settled in candidates.entries:
+                reason = self._reject_reason(engine, job, mate, settled)
+                if reason is not None:
+                    rejections[reason] = rejections.get(reason, 0) + 1
+        return self._verdict(job, best, rejections=rejections,
+                             candidates=len(candidates.entries))
 
     def _verdict(self, job: Job, mate: Optional[Job],
                  rejections: Dict[str, int],
@@ -175,59 +235,44 @@ class AffineJobpairBinder:
                     demand += resident.cpu_per_gpu
         return max(0.0, demand - node.cpus)
 
-    def begin_pass(self, engine) -> None:
-        """Index exclusive running jobs by (VC, GPU count) for one
-        scheduling pass.  Pure performance aid: :meth:`_mate_ok` re-checks
-        every condition, so a stale entry is filtered, never mis-packed."""
-        index: dict = {}
+    def begin_pass(self, engine,
+                   remaining_estimate: Callable[[Job], float]) -> None:
+        """Index the mate candidates of one scheduling pass.
+
+        A pass only takes GPUs: it frees none, and the clock, the mates'
+        start times and node health stay fixed while it runs.  So which
+        running jobs may host a packed job at all (exclusive, profiled,
+        single-node: rules 2, 3 and 5) and which of them finish too soon
+        or sit on a degraded node are the same for every queued job of
+        the pass; the table settles the latter once per (VC, GPU count),
+        on the first search for that shape.  :meth:`find_mate` re-checks
+        only what a placement or the job itself changes: a mate packed
+        earlier in the pass (``has_mate``), the GSS budget and device
+        memory.  With sharing disabled no search reaches the table, so
+        none is built.
+        """
         if self.sharing_enabled:
-            for mate in engine.running_jobs():
-                if (mate.status is JobStatus.RUNNING
-                        and mate.sharing_score is not None
-                        and mate.gpu_num <= engine.cluster.gpus_per_node
-                        and not engine.has_mates(mate)):
-                    index.setdefault((mate.vc, mate.gpu_num), []).append(mate)
-        self._pass_index = index
+            self._pass_table = _MateTable(engine, remaining_estimate,
+                                          self.min_mate_remaining)
 
     def end_pass(self) -> None:
-        self._pass_index = None
-
-    def _mate_ok(self, engine, job: Job, mate: Job,
-                 remaining_estimate: Callable[[Job], float]) -> bool:
-        return self._reject_reason(engine, job, mate,
-                                   remaining_estimate) is None
+        self._pass_table = None
 
     def _reject_reason(self, engine, job: Job, mate: Job,
-                       remaining_estimate: Callable[[Job], float]
-                       ) -> Optional[str]:
+                       settled: Optional[str]) -> Optional[str]:
         """Why ``mate`` cannot host ``job``; ``None`` when it can.
 
-        The reason strings feed the audit's rejection census, so they are
+        ``settled`` is the mate's pass-level reason from the table.  The
+        reason strings feed the audit's rejection census, so they are
         stable identifiers, not prose.
         """
-        if mate.job_id == job.job_id or mate.status is not JobStatus.RUNNING:
-            return "not_running"
-        if mate.vc != job.vc:
-            return "different_vc"
-        if mate.gpu_num != job.gpu_num:  # rule 2: equal demands only
-            return "unequal_gpu_demand"
-        if mate.gpu_num > engine.cluster.gpus_per_node:  # rule 5
-            return "mate_distributed"
-        if mate.sharing_score is None:
-            return "mate_unprofiled"
         if engine.has_mates(mate):  # rule 3: at most two per GPU set
             return "has_mate"
         if mate.sharing_score + job.sharing_score > self.gss_capacity:
             return "gss_budget"  # Indolent Packing GSS budget
-        mate_left = remaining_estimate(mate)
-        if mate_left < self.min_mate_remaining:
-            return "mate_finishing"  # packing buys nothing
-        mate_gpus = engine.gpus_of(mate)
-        if any(not g.healthy or g.fault_slow < 1.0 for g in mate_gpus):
-            # Fault degradation: never pack onto a node that is draining
-            # after a failure or crawling through a straggler window.
-            return "node_draining"
-        gpus = find_shared(engine.cluster, mate_gpus,
+        if settled is not None:
+            return settled
+        gpus = find_shared(engine.cluster, engine.gpus_of(mate),
                            job.profile.gpu_mem_mb)  # rule 1: OOM guard
         return None if gpus is not None else "memory"
 

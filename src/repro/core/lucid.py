@@ -376,7 +376,7 @@ class LucidScheduler(Scheduler):
                         note=f"T_prof={self.profiler.t_prof:.0f}s, "
                              f"N_prof={self.profiler.n_prof}"))
         if self.config.packing_policy == "indolent":
-            self.binder.begin_pass(self.engine)
+            self.binder.begin_pass(self.engine, self._remaining_estimate)
         with self.profile_span("lucid.orchestrate"):
             placed = self.orchestrator.schedule(
                 self.engine, self.queue, priority_fn=self._priority,

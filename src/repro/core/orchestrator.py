@@ -9,7 +9,8 @@ exclusively with consolidated best-fit inside its VC.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import math
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.placement import find_consolidated, find_relaxed
 from repro.obs.audit import DecisionAudit, PlacementDecision
@@ -98,6 +99,10 @@ class ResourceOrchestrator:
                 binder=audit.take_binder(job.job_id),
                 attribution=audit.attribution_for(job)))
 
+        # Within a pass free GPUs only shrink, so once a (VC, GPU count)
+        # found no consolidated room at some memory need, every later job
+        # of that shape needing at least as much finds none either.
+        no_room: Dict[Tuple[str, int], float] = {}
         placed: List[Job] = []
         for job in ordered:
             if sharing_mode == "eager":
@@ -110,9 +115,14 @@ class ResourceOrchestrator:
             if self.place_exclusive is not None:
                 gpus = self.place_exclusive(engine, job)
             else:
-                gpus = find_consolidated(
-                    engine.cluster, job.gpu_num, vc=job.vc,
-                    min_memory_mb=job.profile.gpu_mem_mb)
+                gpus = None
+                shape = (job.vc, job.gpu_num)
+                need = job.profile.gpu_mem_mb
+                if need < no_room.get(shape, math.inf):
+                    gpus = find_consolidated(engine.cluster, job.gpu_num,
+                                             vc=job.vc, min_memory_mb=need)
+                    if gpus is None:
+                        no_room[shape] = need
             relaxed = False
             if gpus is None and starving(job):
                 # Starvation relief: relaxed (fragmented) placement.

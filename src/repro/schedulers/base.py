@@ -7,7 +7,7 @@ from typing import Callable, List, Optional
 from repro.cluster.placement import find_consolidated
 from repro.obs.logutil import get_logger
 from repro.obs.prof import NULL_SPAN
-from repro.workloads.job import Job, JobStatus
+from repro.workloads.job import Job, JobStatus, remove_jobs
 
 logger = get_logger("schedulers")
 
@@ -140,9 +140,10 @@ class Scheduler:
         head-of-line semantics); otherwise unplaceable jobs are skipped,
         which is the greedy loop of the paper's Algorithm 2.
         """
+        placed: List[Job] = []
         for job in ordered:
-            placed = self.try_place_exclusive(job)
-            if placed:
-                self.queue.remove(job)
+            if self.try_place_exclusive(job):
+                placed.append(job)
             elif strict:
                 break
+        remove_jobs(self.queue, placed)

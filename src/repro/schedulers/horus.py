@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cluster.placement import find_shared
 from repro.schedulers.base import Scheduler
-from repro.workloads.job import Job, JobStatus
+from repro.workloads.job import Job, JobStatus, remove_jobs
 
 
 class HorusScheduler(Scheduler):
@@ -96,10 +96,12 @@ class HorusScheduler(Scheduler):
         # placement to drive utilization up, without Lucid's indolent
         # interference caution — the design difference that costs it under
         # contention-heavy traces like Philly (Table 4).
+        placed: List[Job] = []
         for job in sorted(self.queue, key=self._order_key):
             mate = self._find_pack_target(job)
             if mate is not None:
                 self.engine.start_job(job, self.engine.gpus_of(mate))
-                self.queue.remove(job)
+                placed.append(job)
             elif self.try_place_exclusive(job):
-                self.queue.remove(job)
+                placed.append(job)
+        remove_jobs(self.queue, placed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.schedulers.base import Scheduler
-from repro.workloads.job import Job, JobStatus
+from repro.workloads.job import Job, JobStatus, remove_jobs
 
 #: Checkpoint + cold-start cost charged on every resume (paper §4.8).
 PREEMPTION_OVERHEAD = 62.0
@@ -75,9 +75,10 @@ class TiresiasScheduler(Scheduler):
 
     def _fill_free(self, now: float) -> None:
         """Start pending jobs on free GPUs without preempting anyone."""
-        for job in self._priority_order(list(self.queue), now):
-            if self.try_place_exclusive(job, overhead=self._resume_overhead(job)):
-                self.queue.remove(job)
+        placed = [job for job in self._priority_order(self.queue, now)
+                  if self.try_place_exclusive(
+                      job, overhead=self._resume_overhead(job))]
+        remove_jobs(self.queue, placed)
 
     def _reshuffle(self, now: float) -> None:
         """Full preemptive reallocation in LAS priority order."""
@@ -99,8 +100,7 @@ class TiresiasScheduler(Scheduler):
                 self.engine.stop_job(job, preempted=True)
                 self.queue.append(job)
 
-        for job in self._priority_order(list(self.queue), now):
-            if job.job_id not in target:
-                continue
-            if self.try_place_exclusive(job, overhead=self._resume_overhead(job)):
-                self.queue.remove(job)
+        placed = [job for job in self._priority_order(self.queue, now)
+                  if job.job_id in target and self.try_place_exclusive(
+                      job, overhead=self._resume_overhead(job))]
+        remove_jobs(self.queue, placed)

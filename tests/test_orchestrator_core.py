@@ -2,20 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cluster import Cluster, find_consolidated
+from repro.core.binder import AffineJobpairBinder
 from repro.core.estimator import WorkloadEstimateModel
 from repro.core.orchestrator import ResourceOrchestrator
 from repro.core.tuner import SystemTuner
 from repro.core.update_engine import UpdateEngine
+from repro.sim import Simulator
 from repro.traces import TraceGenerator, VENUS
+from repro.workloads import GPU_MEMORY_MB
 from repro.workloads.job import JobRecord
 
 from conftest import make_job
-from test_binder import engine_with_running
+from test_binder import (PASS_NOW, _Harness, build_pass_state,
+                         engine_with_running, pass_plans)
 
 
 def no_mate(job):
     return None
+
+
+def consolidated_each_time(engine, job):
+    """The exclusive placement the orchestrator makes, searched anew for
+    every job."""
+    return find_consolidated(engine.cluster, job.gpu_num, vc=job.vc,
+                             min_memory_mb=job.profile.gpu_mem_mb)
 
 
 class TestOrchestrator:
@@ -72,6 +85,48 @@ class TestOrchestrator:
             find_mate=lambda j: mate, sharing_mode="fallback")
         assert placed == [job]
         assert sim.mates_of(job) == []  # free GPUs existed -> exclusive
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan=pass_plans,
+           sharing_mode=st.sampled_from(("eager", "fallback", "off")))
+    def test_no_room_memo_matches_per_job_search(self, plan, sharing_mode):
+        """Skipping consolidated searches known to fail this pass places
+        the same jobs on the same GPUs as searching for every job."""
+        outcomes = []
+        for orchestrator in (ResourceOrchestrator(),
+                             ResourceOrchestrator(
+                                 place_exclusive=consolidated_each_time)):
+            sim, queue, remaining, priority = build_pass_state(plan)
+            binder = AffineJobpairBinder()
+            binder.set_mode(plan.mode)
+            binder.begin_pass(sim, remaining)
+            placed = orchestrator.schedule(
+                sim, queue, priority_fn=priority,
+                find_mate=lambda j: binder.find_mate(sim, j, remaining),
+                sharing_mode=sharing_mode, now=PASS_NOW)
+            outcomes.append([(job.job_id,
+                              tuple(g.gpu_id for g in sim.gpus_of(job)))
+                             for job in placed])
+        assert outcomes[0] == outcomes[1]
+
+    def test_no_room_memo_keys_on_memory_need(self):
+        """A job that needs less device memory than one that found no
+        room may still fit: on the small-memory node here."""
+        cluster = Cluster({"vc1": 2})
+        for gpu in cluster.node(1).gpus:
+            gpu.memory_mb = GPU_MEMORY_MB / 2
+        big = make_job(1, gpu_num=8, mem_mb=GPU_MEMORY_MB * 0.9)
+        filler = make_job(2, gpu_num=8, mem_mb=GPU_MEMORY_MB * 0.9)
+        small = make_job(3, gpu_num=8, mem_mb=GPU_MEMORY_MB * 0.2)
+        sim = Simulator(cluster, [filler, big, small], _Harness())
+        sim.scheduler.attach(sim)
+        sim.start_job(filler, cluster.node(0).gpus)
+        order = {1: 0.0, 3: 1.0}
+        placed = ResourceOrchestrator().schedule(
+            sim, [big, small], priority_fn=lambda j: order[j.job_id],
+            find_mate=no_mate, sharing_mode="off")
+        assert placed == [small]
+        assert sim.gpus_of(small) == cluster.node(1).gpus
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
