@@ -12,6 +12,7 @@
     10^5-10^7 samples; our histories are proportionally smaller).
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -30,8 +31,14 @@ from repro.workloads import InterferenceModel
 from conftest import CLUSTERS
 
 
+#: Fresh states timed per queue size; one first pass varies by tens of
+#: percent from state to state and run to run on one host.
+REPEATS = 5
+
+
 def _scheduling_latency(n_jobs: int) -> float:
-    """Wall time of one full scheduling decision over ``n_jobs`` queued."""
+    """Wall time of one full scheduling decision over ``n_jobs`` queued,
+    on a freshly built state."""
     spec = VENUS.with_jobs(n_jobs).with_seed(77)
     generator = TraceGenerator(spec)
     cluster = generator.build_cluster()
@@ -49,28 +56,40 @@ def _scheduling_latency(n_jobs: int) -> float:
     return time.perf_counter() - started
 
 
+def _latencies(n_jobs: int) -> list:
+    """``REPEATS`` first-pass latencies over fresh states, sorted."""
+    return sorted(_scheduling_latency(n_jobs) for _ in range(REPEATS))
+
+
 def test_fig10a_scheduling_latency(benchmark, record_result):
     sizes = (128, 256, 512, 1024, 2048)
     latencies = {}
     for n in sizes[:-1]:
-        latencies[n] = _scheduling_latency(n)
+        latencies[n] = _latencies(n)
     # The headline 2048-job decision is the benchmarked quantity.
     latencies[2048] = benchmark.pedantic(
-        lambda: _scheduling_latency(2048), rounds=1, iterations=1)
+        lambda: _latencies(2048), rounds=1, iterations=1)
+    median = {n: statistics.median(values)
+              for n, values in latencies.items()}
 
-    rows = [[n, latencies[n] * 1e3, latencies[n] / n * 1e6]
+    rows = [[n, median[n] * 1e3,
+             f"[{latencies[n][0] * 1e3:.2f}, {latencies[n][-1] * 1e3:.2f}]",
+             median[n] / n * 1e6]
             for n in sizes]
     table = ascii_table(
-        ["queued jobs", "decision latency (ms)", "per-job latency (us)"],
+        ["queued jobs", "decision latency (ms, median)", "[min, max] (ms)",
+         "per-job latency (us)"],
         rows, title="Figure 10a: scheduling latency vs queue length")
+    table += (f"\n(median of {REPEATS} first passes, each on a freshly "
+              "built state)")
     table += ("\n(paper: <3 ms at 2048 jobs on their hardware; Gavel needs "
               "~30 min, Pollux minutes-hours)")
     record_result("fig10a_scheduling_latency", table)
 
     # Real-time regime: well under a 10 s scheduling tick even at 2048.
-    assert latencies[2048] < 10.0
+    assert median[2048] < 10.0
     # Sub-quadratic scaling: 16x jobs cost far less than 256x time.
-    assert latencies[2048] / max(latencies[128], 1e-9) < 80.0
+    assert median[2048] / max(median[128], 1e-9) < 80.0
 
 
 def test_fig10b_model_training_time(once, record_result):

@@ -194,8 +194,7 @@ class LucidScheduler(Scheduler):
         if self.profiler is not None and self.profiler.wants(job):
             if not self.profiler.is_down:
                 self.profiler.enqueue(job)
-                self.lineage_note(job, "profiler")
-                self.trace_event("sched_submit", job, now,
+                self.trace_event("sched_submit", job,
                                  queue_depth=len(self.queue),
                                  routed="profiler")
                 return
@@ -203,17 +202,15 @@ class LucidScheduler(Scheduler):
             # job runs unprofiled — no sharing score means the binder
             # never packs it (conservative no-packing default).
             self._admit_to_main(job)
-            self.lineage_note(job, "main_degraded")
-            self.trace_event("sched_submit", job, now,
+            self.trace_event("sched_submit", job,
                              queue_depth=len(self.queue),
                              routed="main_degraded")
             return
         # Large-scale jobs skip profiling; metrics are collected on the fly.
         job.measured_profile = job.profile.with_noise(self._rng)
         self._admit_to_main(job)
-        self.lineage_note(job, "main")
-        self.trace_event("sched_submit", job, now,
-                         queue_depth=len(self.queue), routed="main")
+        self.trace_event("sched_submit", job, queue_depth=len(self.queue),
+                         routed="main")
 
     def on_time_limit(self, job: Job, now: float) -> None:
         """Profiling window expired: evict, measure, hand to the main queue.
@@ -256,21 +253,19 @@ class LucidScheduler(Scheduler):
         """
         self._main_start.pop(job.job_id, None)
         if permanent:
-            self.trace_event("sched_failed", job, now,
+            self.trace_event("sched_failed", job,
                              queue_depth=len(self.queue))
             return
         if (self.profiler is not None and self.profiler.wants(job)
                 and not job.profiled and job.measured_profile is None
                 and not self.profiler.is_down):
             self.profiler.enqueue(job)
-            self.lineage_note(job, "profiler")
-            self.trace_event("sched_retry", job, now,
+            self.trace_event("sched_retry", job,
                              queue_depth=len(self.queue), routed="profiler")
             return
         self._admit_to_main(job)
-        self.lineage_note(job, "main")
-        self.trace_event("sched_retry", job, now,
-                         queue_depth=len(self.queue), routed="main")
+        self.trace_event("sched_retry", job, queue_depth=len(self.queue),
+                         routed="main")
 
     # ------------------------------------------------------------------
     # Estimation helpers

@@ -103,13 +103,9 @@ class FaultRuntime:
         for gpu in node.gpus:
             victims.update(gpu.residents)
         engine = self._engine
-        if engine.lineage is not None:
-            engine.lineage.on_node_fail(now, node.node_id,
-                                        sorted(victims))
-        if engine._tracing:
-            engine.tracer.emit(now, "node_fail", None, target=target,
-                               node=node.node_id, victims=sorted(victims))
-            engine.metrics.counter("fault_node_failures").inc()
+        if engine.observed:
+            engine.publish("node_fail", None, target=target,
+                           node=node.node_id, victims=sorted(victims))
         logger.debug("t=%.0fs node_fail %s[%d]: %d victims", now, target,
                      index, len(victims))
         for job_id in sorted(victims):
@@ -128,12 +124,9 @@ class FaultRuntime:
         if down is not None:
             self.repair_seconds += now - down
         engine = self._engine
-        if engine.lineage is not None:
-            engine.lineage.on_node_recover(now, node.node_id)
-        if engine._tracing:
-            engine.tracer.emit(now, "node_recover", None, target=target,
-                               node=node.node_id)
-            engine.metrics.counter("fault_node_recoveries").inc()
+        if engine.observed:
+            engine.publish("node_recover", None, target=target,
+                           node=node.node_id)
 
     # ------------------------------------------------------------------
     # Job crashes and retry
@@ -182,22 +175,14 @@ class FaultRuntime:
             job.status = JobStatus.CRASHED
             delay = self.policy.backoff(job.restarts)
             engine.events.push(now + delay, EventKind.RETRY, job.job_id)
-            if engine.lineage is not None:
-                engine.lineage.on_crash(
-                    now, job.job_id, [g.gpu_id for g in gpus],
-                    cause=cause, lost=lost, backoff=delay,
-                    progress=job.progress,
-                    profiling=state.is_profiling)
-            if engine._tracing:
-                engine.tracer.emit(now, "crash", job.job_id, cause=cause,
-                                   restarts=job.restarts, lost=lost,
-                                   backoff=delay,
-                                   gpus=[g.gpu_id for g in gpus],
-                                   nodes=[g.node_id for g in gpus],
-                                   progress=job.progress,
-                                   profiling=state.is_profiling)
-                engine.metrics.counter("fault_job_crashes").inc()
-                engine.metrics.counter("job_restarts").inc()
+            if engine.observed:
+                engine.publish("crash", job.job_id, cause=cause,
+                               restarts=job.restarts, lost=lost,
+                               backoff=delay,
+                               gpus=[g.gpu_id for g in gpus],
+                               nodes=[g.node_id for g in gpus],
+                               progress=job.progress,
+                               profiling=state.is_profiling)
         engine._refresh_speeds_around(gpus)
         engine.utilization.update(now)
 
@@ -212,19 +197,12 @@ class FaultRuntime:
         self.jobs_failed += 1
         logger.debug("t=%.0fs job %d failed permanently after %d restarts",
                      now, job.job_id, job.restarts)
-        if engine.lineage is not None:
-            engine.lineage.on_job_failed(
-                now, job.job_id, cause=cause,
-                gpus=[g.gpu_id for g in gpus],
-                progress=job.progress, profiling=profiling)
-        if engine._tracing:
-            engine.tracer.emit(now, "job_failed", job.job_id, cause=cause,
-                               restarts=job.restarts,
-                               gpus=[g.gpu_id for g in gpus],
-                               nodes=[g.node_id for g in gpus],
-                               progress=job.progress)
-            engine.metrics.counter("fault_job_crashes").inc()
-            engine.metrics.counter("jobs_failed").inc()
+        if engine.observed:
+            engine.publish("job_failed", job.job_id, cause=cause,
+                           restarts=job.restarts,
+                           gpus=[g.gpu_id for g in gpus],
+                           nodes=[g.node_id for g in gpus],
+                           progress=job.progress, profiling=profiling)
         self._notify_scheduler(job, now, permanent=True)
 
     def _handle_retry(self, event, now: float) -> None:
@@ -232,11 +210,8 @@ class FaultRuntime:
         if job.status is not JobStatus.CRASHED:
             return
         job.status = JobStatus.PENDING
-        if self._engine.lineage is not None:
-            self._engine.lineage.on_retry(now, job.job_id)
-        if self._engine._tracing:
-            self._engine.tracer.emit(now, "retry", job.job_id,
-                                     restarts=job.restarts)
+        if self._engine.observed:
+            self._engine.publish("retry", job.job_id, restarts=job.restarts)
         self._notify_scheduler(job, now, permanent=False)
 
     def _notify_scheduler(self, job: Job, now: float, permanent: bool) -> None:
@@ -262,10 +237,9 @@ class FaultRuntime:
             gpu.fault_slow = factor
         self.slowdowns += 1
         engine = self._engine
-        if engine._tracing:
-            engine.tracer.emit(now, "slowdown", None, target=target,
-                               node=node.node_id, factor=factor)
-            engine.metrics.counter("fault_slowdowns").inc()
+        if engine.observed:
+            engine.publish("slowdown", None, target=target,
+                           node=node.node_id, factor=factor)
         engine._refresh_speeds_around(node.gpus)
 
     def _handle_slowdown_end(self, event, now: float) -> None:
@@ -276,9 +250,9 @@ class FaultRuntime:
         for gpu in node.gpus:
             gpu.fault_slow = 1.0
         engine = self._engine
-        if engine._tracing:
-            engine.tracer.emit(now, "slowdown_end", None, target=target,
-                               node=node.node_id)
+        if engine.observed:
+            engine.publish("slowdown_end", None, target=target,
+                           node=node.node_id)
         engine._refresh_speeds_around(node.gpus)
 
     # ------------------------------------------------------------------

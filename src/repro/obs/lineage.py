@@ -10,9 +10,10 @@ layers:
   the ids of the events that caused it.  A ``start`` is caused by the
   releases (finish/preempt/crash) that freed its GPUs plus the
   scheduler pass that picked it; a ``retry`` by its ``crash``; a crash
-  by the ``node_fail`` that killed the node.  The collector is strictly
-  read-only over simulation state, so ``lineage=None`` runs are
-  bit-identical and pay one ``is not None`` check per hook site.
+  by the ``node_fail`` that killed the node.  It ingests the engine's
+  lifecycle event stream through :meth:`LineageCollector.emit`, the
+  same payloads the tracer records, and is strictly read-only over
+  simulation state, so ``lineage=None`` runs are bit-identical.
 * :func:`decompose` — splits a completed job's JCT into six components
   that sum *exactly* to ``finish - submit``: time waiting for the
   profiling stage, time waiting in the main queue (attributed to the
@@ -27,8 +28,9 @@ layers:
   JCT") and aggregate main-queue wait by blocking job cluster-wide.
 
 The same collector can be rebuilt offline from a tracer JSONL via
-:func:`lineage_from_trace`, so ``repro why --trace events.jsonl`` needs
-no re-simulation.  :data:`LINEAGE_CAUSE_SCHEMA` documents the cause
+:func:`lineage_from_trace`, which replays the events through the same
+``emit``, so ``repro why --trace events.jsonl`` needs no re-simulation
+and gives the live answer.  :data:`LINEAGE_CAUSE_SCHEMA` documents the cause
 story for every heap :class:`~repro.sim.events.EventKind`; lint rule
 RPR114 keeps it in sync with the enum.
 """
@@ -100,6 +102,25 @@ _WAIT_PROFILING = "pending_profiling"
 _WAIT_MAIN = "pending_main"
 _WAIT_FAULT = "fault_retry"
 
+#: Payload keys a lineage node keeps, per ingested event kind (every
+#: other kind has no cause story and is ignored).
+_KEPT: Dict[str, Tuple[str, ...]] = {
+    "submit": ("gpu_num", "vc"),
+    "start": ("gpus", "profiling", "overhead", "progress"),
+    "stop": ("gpus", "progress", "profiling"),
+    "preempt": ("gpus", "progress", "profiling"),
+    "finish": ("gpus", "progress", "profiling", "jct"),
+    "time_limit": ("progress", "profiling"),
+    "node_fail": ("node", "victims"),
+    "node_recover": ("node",),
+    "crash": ("gpus", "cause", "lost", "backoff", "progress", "profiling"),
+    "retry": (),
+    "job_failed": ("gpus", "cause", "progress", "profiling"),
+}
+
+#: Scheduler events whose ``routed=`` says where the job now waits.
+_ROUTING_KINDS = frozenset({"sched_submit", "sched_retry"})
+
 #: Event kinds that free main-cluster GPUs for later starts.
 _RELEASE_KINDS = frozenset({"stop", "preempt", "finish", "crash",
                             "job_failed"})
@@ -138,10 +159,10 @@ class LineageCollector:
 
     Attach via ``Simulator(lineage=LineageCollector())`` (live) or
     rebuild from a trace file with :func:`lineage_from_trace`
-    (offline) — both paths run the identical ingestion code, so
+    (offline) — both feed the tracer's events to :meth:`emit`, so
     ``repro why`` gives the same answer either way.  The collector
-    never mutates engine state: hooks read primitives the engine
-    passes in and append to internal structures only.
+    never mutates engine state: it reads the event payloads and
+    appends to internal structures only.
     """
 
     def __init__(self, max_events: int = 2_000_000) -> None:
@@ -218,109 +239,53 @@ class LineageCollector:
         self._release_times.append(time)
 
     # ------------------------------------------------------------------
-    # Engine / fault-runtime hooks (live) — also fed by
-    # :func:`lineage_from_trace` (offline).  All arguments are
-    # primitives so the two paths are indistinguishable.
+    # Ingestion: the one entry point of both the live run
+    # (:meth:`Simulator.publish <repro.sim.engine.Simulator.publish>`)
+    # and offline replay (:func:`lineage_from_trace`).
     # ------------------------------------------------------------------
-    def on_submit(self, time: float, job_id: int, *, gpu_num: int,
-                  vc: Optional[str]) -> None:
-        self._record(time, "submit", job_id, (),
-                     {"gpu_num": gpu_num, "vc": vc})
+    def emit(self, time: float, kind: str, job_id: Optional[int] = None,
+             **data: Any) -> None:
+        """Ingest one lifecycle event, given as the tracer sees it.
 
-    def note_routing(self, job_id: int, routed: str) -> None:
-        """Scheduler annotation: where the job it just handled waits.
-
-        Called from the scheduler callbacks right after the engine's
-        submit/retry hook, so the annotation lands on the node that
-        opened the current waiting interval.
+        Same signature as :meth:`Tracer.emit
+        <repro.obs.tracer.Tracer.emit>`; ``data`` is the tracer payload.
+        Kinds with no cause story (``speed``, ``sched_finish``,
+        ``decision``, ...) are ignored.  ``sched_submit`` /
+        ``sched_retry`` carry the scheduler's routing (``routed=``),
+        which lands on the submit/retry node that opened the job's
+        current wait.
         """
-        last = self._job_last.get(job_id)
-        if last is not None:
-            self._route_at[last] = routed
-
-    def on_start(self, time: float, job_id: int, gpus: Sequence[int], *,
-                 profiling: bool, overhead: float,
-                 progress: Optional[float]) -> None:
-        causes: List[Optional[int]] = [self._job_last.get(job_id),
-                                       self._pass_node(time)]
-        if not profiling:
-            for gpu in gpus:
-                causes.append(self._last_release.get(gpu))
-        self._record(time, "start", job_id, causes,
-                     {"gpus": list(gpus), "profiling": profiling,
-                      "overhead": overhead, "progress": progress})
-
-    def on_stop(self, time: float, job_id: int, gpus: Sequence[int], *,
-                preempted: bool, progress: float,
-                profiling: bool) -> None:
-        event_id = self._record(
-            time, "preempt" if preempted else "stop", job_id,
-            (self._job_last.get(job_id),),
-            {"gpus": list(gpus), "progress": progress,
-             "profiling": profiling})
-        if not profiling:
-            self._register_release(time, gpus, event_id)
-
-    def on_finish(self, time: float, job_id: int, gpus: Sequence[int], *,
-                  progress: Optional[float], profiling: bool,
-                  jct: Optional[float] = None) -> None:
-        event_id = self._record(
-            time, "finish", job_id, (self._job_last.get(job_id),),
-            {"gpus": list(gpus), "progress": progress,
-             "profiling": profiling, "jct": jct})
-        if event_id is not None:
-            self._terminal[job_id] = event_id
-        if not profiling:
-            self._register_release(time, gpus, event_id)
-
-    def on_time_limit(self, time: float, job_id: int, *, progress: float,
-                      profiling: bool) -> None:
-        self._record(time, "time_limit", job_id,
-                     (self._job_last.get(job_id),),
-                     {"progress": progress, "profiling": profiling})
-
-    def on_node_fail(self, time: float, node: Optional[int],
-                     victims: Sequence[int]) -> None:
-        self._last_node_fail = self._record(
-            time, "node_fail", None, (),
-            {"node": node, "victims": list(victims)})
-
-    def on_node_recover(self, time: float, node: Optional[int]) -> None:
-        self._record(time, "node_recover", None, (), {"node": node})
-
-    def on_crash(self, time: float, job_id: int, gpus: Sequence[int], *,
-                 cause: str, lost: float, backoff: float,
-                 progress: Optional[float],
-                 profiling: bool) -> None:
-        causes: List[Optional[int]] = [self._job_last.get(job_id)]
-        if cause == "node_fail":
+        if kind in _ROUTING_KINDS:
+            last = self._job_last.get(job_id)
+            routed = data.get("routed")
+            if last is not None and routed is not None:
+                self._route_at[last] = str(routed)
+            return
+        keys = _KEPT.get(kind)
+        if keys is None or (job_id is None
+                            and kind not in ("node_fail", "node_recover")):
+            return
+        kept = {key: data.get(key) for key in keys}
+        causes: List[Optional[int]] = []
+        if job_id is not None and kind != "submit":
+            causes.append(self._job_last.get(job_id))
+        main = not kept.get("profiling")
+        if kind == "start":
+            causes.append(self._pass_node(time))
+            if main:
+                # Profiling runs live on the separate profiler cluster,
+                # whose gpu ids may collide with the main cluster's.
+                causes.extend(self._last_release.get(gpu)
+                              for gpu in kept["gpus"])
+        elif kept.get("cause") == "node_fail":
             causes.append(self._last_node_fail)
-        event_id = self._record(
-            time, "crash", job_id, causes,
-            {"gpus": list(gpus), "cause": cause, "lost": lost,
-             "backoff": backoff, "progress": progress,
-             "profiling": profiling})
-        if not profiling:
-            self._register_release(time, gpus, event_id)
-
-    def on_retry(self, time: float, job_id: int) -> None:
-        self._record(time, "retry", job_id,
-                     (self._job_last.get(job_id),), {})
-
-    def on_job_failed(self, time: float, job_id: int, *, cause: str,
-                      gpus: Sequence[int], progress: Optional[float],
-                      profiling: bool) -> None:
-        causes: List[Optional[int]] = [self._job_last.get(job_id)]
-        if cause == "node_fail":
-            causes.append(self._last_node_fail)
-        event_id = self._record(
-            time, "job_failed", job_id, causes,
-            {"gpus": list(gpus), "cause": cause, "progress": progress,
-             "profiling": profiling})
-        if event_id is not None:
+        event_id = self._record(time, kind, job_id, causes, kept)
+        if kind == "node_fail":
+            self._last_node_fail = event_id
+        elif kind in ("finish", "job_failed") and event_id is not None:
             self._terminal[job_id] = event_id
-        if not profiling:
-            self._register_release(time, gpus, event_id)
+        if kind in _RELEASE_KINDS and main:
+            self._register_release(time, kept["gpus"], event_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -693,74 +658,12 @@ def lineage_from_trace(events: Iterable[Any],
 
     ``events`` are :class:`~repro.obs.tracer.TraceEvent`-shaped objects
     (``time`` / ``kind`` / ``job_id`` / ``data``), e.g. from
-    ``events_from_dicts(read_jsonl(path))``.  Scheduler ``sched_*``
-    events supply the routing annotations the live path gets via
-    :meth:`LineageCollector.note_routing`.
+    ``events_from_dicts(read_jsonl(path))``.  Each goes through
+    :meth:`LineageCollector.emit`, the method the live run feeds, so the
+    rebuilt DAG equals the live one node for node.
     """
     collector = LineageCollector(max_events=max_events)
     for event in events:
-        kind = str(event.kind)
-        data: Mapping[str, Any] = event.data or {}
-        time = float(event.time)
-        job_id: Optional[int] = event.job_id
-        if kind == "submit" and job_id is not None:
-            collector.on_submit(time, job_id,
-                                gpu_num=int(data.get("gpu_num") or 0),
-                                vc=data.get("vc"))
-        elif kind in ("sched_submit", "sched_retry"):
-            routed = data.get("routed")
-            if routed is not None and job_id is not None:
-                collector.note_routing(job_id, str(routed))
-        elif kind == "start" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_start(
-                time, job_id, list(data.get("gpus") or ()),
-                profiling=bool(data.get("profiling")),
-                overhead=float(data.get("overhead") or 0.0),
-                progress=float(progress) if progress is not None
-                else None)
-        elif kind in ("stop", "preempt") and job_id is not None:
-            collector.on_stop(
-                time, job_id, list(data.get("gpus") or ()),
-                preempted=(kind == "preempt"),
-                progress=float(data.get("progress") or 0.0),
-                profiling=bool(data.get("profiling")))
-        elif kind == "finish" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_finish(
-                time, job_id, list(data.get("gpus") or ()),
-                progress=float(progress) if progress is not None
-                else None,
-                profiling=bool(data.get("profiling")),
-                jct=data.get("jct"))
-        elif kind == "time_limit" and job_id is not None:
-            collector.on_time_limit(
-                time, job_id,
-                progress=float(data.get("progress") or 0.0),
-                profiling=bool(data.get("profiling")))
-        elif kind == "node_fail":
-            collector.on_node_fail(time, data.get("node"),
-                                   list(data.get("victims") or ()))
-        elif kind == "node_recover":
-            collector.on_node_recover(time, data.get("node"))
-        elif kind == "crash" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_crash(
-                time, job_id, list(data.get("gpus") or ()),
-                cause=str(data.get("cause") or "crash"),
-                lost=float(data.get("lost") or 0.0),
-                backoff=float(data.get("backoff") or 0.0),
-                progress=float(progress) if progress is not None
-                else None,
-                profiling=bool(data.get("profiling")))
-        elif kind == "retry" and job_id is not None:
-            collector.on_retry(time, job_id)
-        elif kind == "job_failed" and job_id is not None:
-            progress = data.get("progress")
-            collector.on_job_failed(
-                time, job_id, cause=str(data.get("cause") or "crash"),
-                gpus=list(data.get("gpus") or ()),
-                progress=float(progress) if progress is not None
-                else None,
-                profiling=bool(data.get("profiling")))
+        collector.emit(float(event.time), str(event.kind), event.job_id,
+                       **(event.data or {}))
     return collector

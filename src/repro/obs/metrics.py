@@ -2,19 +2,21 @@
 
 A tiny Prometheus-flavoured registry the engine populates while tracing is
 enabled: counters (jobs started / finished / preempted, packed
-placements), time-series gauges (queue depth over simulated time) and
-histograms (scheduler wall-clock per ``schedule()`` call).  The registry
-snapshot is surfaced on :class:`~repro.sim.metrics.SimulationResult`
-through the :class:`Telemetry` container, so benchmark harnesses and the
-CLI can report scheduler-health numbers without re-deriving them from the
-event log.
+placements, faults — derived from the published lifecycle events by
+:data:`RUN_COUNTERS`), time-series gauges (queue depth over simulated
+time) and histograms (scheduler wall-clock per ``schedule()`` call).
+The registry snapshot is surfaced on
+:class:`~repro.sim.metrics.SimulationResult` through the
+:class:`Telemetry` container, so benchmark harnesses and the CLI can
+report scheduler-health numbers without re-deriving them from the event
+log.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "BucketHistogram",
@@ -22,8 +24,25 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RUN_COUNTERS",
     "Telemetry",
 ]
+
+#: Run counters each published lifecycle event bumps, by event kind
+#: (see :meth:`repro.sim.engine.Simulator.publish`).  A ``start`` also
+#: counts as a ``profiler_runs`` or, next to mates, a
+#: ``placements_shared`` (:meth:`MetricsRegistry.count_event`).
+RUN_COUNTERS: Dict[str, Tuple[str, ...]] = {
+    "submit": ("jobs_submitted",),
+    "start": ("jobs_started",),
+    "preempt": ("preemptions",),
+    "finish": ("jobs_finished",),
+    "node_fail": ("fault_node_failures",),
+    "node_recover": ("fault_node_recoveries",),
+    "crash": ("fault_job_crashes", "job_restarts"),
+    "job_failed": ("fault_job_crashes", "jobs_failed"),
+    "slowdown": ("fault_slowdowns",),
+}
 
 
 class Counter:
@@ -230,6 +249,16 @@ class MetricsRegistry:
         if metric is None:
             metric = self._histograms[name] = Histogram(name)
         return metric
+
+    def count_event(self, kind: str, data: Mapping[str, Any]) -> None:
+        """Bump the run counters of one lifecycle event and its payload."""
+        for name in RUN_COUNTERS.get(kind, ()):
+            self.counter(name).inc()
+        if kind == "start":
+            if data["profiling"]:
+                self.counter("profiler_runs").inc()
+            elif data["mates"]:
+                self.counter("placements_shared").inc()
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -11,10 +11,13 @@ buffer with an optional JSONL sink for offline analysis.
 The contract that keeps the simulator honest:
 
 * **Zero overhead when disabled.**  The default tracer is
-  :data:`NULL_TRACER`, whose ``enabled`` flag is ``False``; every emission
-  site in the hot path is guarded by that flag, so a run without tracing
-  executes the exact instruction stream of the seed engine and produces a
-  bit-identical :class:`~repro.sim.metrics.SimulationResult`.
+  :data:`NULL_TRACER`, whose ``enabled`` flag is ``False``.  The engine,
+  fault runtime and schedulers build a lifecycle event's payload only
+  under :attr:`Simulator.observed <repro.sim.engine.Simulator.observed>`
+  (tracing enabled or a lineage collector attached) and hand it to
+  :meth:`Simulator.publish <repro.sim.engine.Simulator.publish>`, so a
+  run with neither builds no payload and produces a bit-identical
+  :class:`~repro.sim.metrics.SimulationResult`.
 * **No behavioural feedback.**  Tracers observe; they never mutate jobs,
   GPUs or scheduler state.
 """
@@ -37,30 +40,6 @@ __all__ = [
     "RingBufferTracer",
     "read_jsonl",
 ]
-
-
-#: Canonical event kinds emitted by the engine and schedulers.  ``kind`` is
-#: an open vocabulary (extensions may add their own), but these names are
-#: stable and relied upon by the timeline exporter and the tests.
-ENGINE_EVENT_KINDS = (
-    "submit",      # job arrived (engine dispatched its SUBMIT event)
-    "start",       # job began (or resumed) executing on a GPU set
-    "stop",        # job was removed from its GPUs without finishing
-    "preempt",     # like stop, but counted as a preemption
-    "finish",      # job completed all its work
-    "time_limit",  # a bounded (profiling) run hit its wall-clock limit
-    "speed",       # a running job's effective speed changed
-    "decision",    # a scheduler placement decision (see repro.obs.audit)
-    "refit",       # the Update Engine refreshed a learned model
-    # Fault-injection kinds (see repro.faults):
-    "node_fail",     # a node went down, killing its residents
-    "node_recover",  # a failed node returned to service
-    "crash",         # a fault killed a running job (will retry)
-    "retry",         # a crashed job's backoff expired; requeued
-    "job_failed",    # retry budget exhausted; job abandoned
-    "slowdown",      # a node entered a straggler window
-    "slowdown_end",  # the straggler window closed
-)
 
 
 @dataclass(frozen=True)
@@ -98,9 +77,11 @@ def _json_default(obj: Any):
 class Tracer:
     """Tracer protocol: ``emit`` plus an ``enabled`` fast-path flag.
 
-    Emission sites MUST guard on :attr:`enabled` before building payload
-    dicts, e.g. ``if tracer.enabled: tracer.emit(...)`` — constructing the
-    keyword arguments is the expensive part, not the call itself.
+    Emission sites MUST guard before building payload dicts —
+    constructing the keyword arguments is the expensive part, not the
+    call itself.  Engine-side sites guard on ``Simulator.observed`` and
+    call ``Simulator.publish``, which emits here when :attr:`enabled`;
+    other sites guard on :attr:`enabled` itself.
     """
 
     #: Hot-path guard; ``False`` means every emission site is skipped.

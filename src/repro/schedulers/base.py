@@ -21,10 +21,12 @@ class Scheduler:
     here do it for you).
 
     Every scheduler built on this base gets submit/finish tracing for
-    free: the event callbacks emit scheduler-perspective trace events
-    (``sched_submit`` with the current queue depth, ``sched_finish``)
-    through the engine's tracer.  Subclasses that override a callback
-    without calling ``super()`` can emit via :meth:`trace_event`.
+    free: the event callbacks publish scheduler-perspective events
+    (``sched_submit`` with the current queue depth and where the job
+    waits, ``sched_finish``) on the engine's event stream, which the
+    tracer and the lineage collector consume.  Subclasses that override
+    a callback without calling ``super()`` can publish via
+    :meth:`trace_event`.
     """
 
     #: Human-readable name used by benchmark tables.
@@ -44,26 +46,17 @@ class Scheduler:
         self.engine = engine
         self.queue = []
 
-    def trace_event(self, kind: str, job: Optional[Job], now: float,
-                    **data) -> None:
-        """Emit a scheduler-perspective trace event (no-op untraced)."""
-        engine = self.engine
-        if engine is not None and engine.tracer.enabled:
-            engine.tracer.emit(now, kind,
-                               job.job_id if job is not None else None,
-                               scheduler=self.name, **data)
+    def trace_event(self, kind: str, job: Optional[Job], **data) -> None:
+        """Publish a scheduler-perspective event (no-op unobserved).
 
-    def lineage_note(self, job: Job, routed: str) -> None:
-        """Annotate the lineage DAG with where ``job`` now waits.
-
-        ``routed`` is ``"profiler"`` / ``"main"`` / ``"main_degraded"``;
-        the collector uses it to classify the waiting interval that just
-        opened (pending-profiling vs. pending-main-queue).  No-op when
-        ``Simulator(lineage=None)``.
+        ``sched_submit`` / ``sched_retry`` carry ``routed=`` —
+        ``"profiler"`` / ``"main"`` / ``"main_degraded"`` — which the
+        lineage collector uses to classify the wait that just opened.
         """
         engine = self.engine
-        if engine is not None and engine.lineage is not None:
-            engine.lineage.note_routing(job.job_id, routed)
+        if engine is not None and engine.observed:
+            engine.publish(kind, job.job_id if job is not None else None,
+                           scheduler=self.name, **data)
 
     def profile_count(self, name: str, n: int = 1) -> None:
         """Bump a hot-path counter on the engine's profiler (no-op off).
@@ -90,13 +83,11 @@ class Scheduler:
 
     def on_job_submit(self, job: Job, now: float) -> None:
         self.queue.append(job)
-        self.lineage_note(job, "main")
-        self.trace_event("sched_submit", job, now,
-                         queue_depth=len(self.queue), routed="main")
+        self.trace_event("sched_submit", job, queue_depth=len(self.queue),
+                         routed="main")
 
     def on_job_finish(self, job: Job, now: float) -> None:
-        self.trace_event("sched_finish", job, now,
-                         queue_depth=len(self.queue))
+        self.trace_event("sched_finish", job, queue_depth=len(self.queue))
 
     def on_time_limit(self, job: Job, now: float) -> None:
         pass
@@ -111,13 +102,12 @@ class Scheduler:
         just drops it.
         """
         if permanent:
-            self.trace_event("sched_failed", job, now,
+            self.trace_event("sched_failed", job,
                              queue_depth=len(self.queue))
             return
         self.queue.append(job)
-        self.lineage_note(job, "main")
-        self.trace_event("sched_retry", job, now,
-                         queue_depth=len(self.queue), routed="main")
+        self.trace_event("sched_retry", job, queue_depth=len(self.queue),
+                         routed="main")
 
     def schedule(self, now: float) -> None:
         raise NotImplementedError

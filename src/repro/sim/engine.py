@@ -92,9 +92,14 @@ class Simulator:
         event, including events drained inside a simultaneous batch).
     tracer:
         Structured-event tracer (see :mod:`repro.obs.tracer`).  Defaults
-        to the disabled :data:`~repro.obs.tracer.NULL_TRACER`; every
-        emission site is guarded by ``tracer.enabled`` so a run without
-        tracing is bit-identical to (and as fast as) an untraced one.
+        to the disabled :data:`~repro.obs.tracer.NULL_TRACER`.  Metrics
+        (:attr:`metrics`, ``result.telemetry``) exist only while it is
+        enabled.
+    faults:
+        Fault model (:class:`~repro.faults.spec.FaultSpec` or a prebuilt
+        :class:`~repro.faults.injector.FaultInjector`).  ``None`` — and a
+        spec with no rates or script — leaves the run bit-identical to a
+        fault-free one.
     sanitize:
         Enable the :class:`~repro.checks.sanitizer.SimSanitizer`: state
         invariants (allocation conservation, monotone clock, legal job
@@ -116,6 +121,19 @@ class Simulator:
         allocation / sharing, per-VC queue depth, fragmentation and job
         counts on a fixed simulated-time grid.  Read-only; bit-identical
         results; ``None`` when off.
+    lineage:
+        Causal lineage collector
+        (:class:`~repro.obs.lineage.LineageCollector`): receives every
+        lifecycle event :meth:`publish` sends and builds the DAG ``repro
+        why`` explains JCTs with.  Read-only; bit-identical results;
+        ``None`` when off.  Lineage alone is not tracing: it creates no
+        metrics and no decision audit.
+
+    Every lifecycle event is built once, under an :attr:`observed`
+    guard, and sent to the tracer, the run counters and the lineage
+    collector by :meth:`publish`.  A run with neither a tracer nor a
+    collector builds no payload, and no consumer feeds back, so an
+    observed run is bit-identical to a plain one.
     """
 
     def __init__(self, cluster: Cluster, jobs: Sequence[Job], scheduler,
@@ -142,16 +160,13 @@ class Simulator:
         self.model_cpu = model_cpu
 
         #: Observability: disabled by default (zero overhead contract —
-        #: hot paths check the cached ``_tracing`` flag before building
-        #: any event payload); metrics exist only while tracing.
+        #: emission sites check :attr:`observed` before building any
+        #: event payload); metrics exist only while tracing.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tracing = self.tracer.enabled
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if self._tracing else None)
 
-        #: Fault model (:class:`~repro.faults.spec.FaultSpec` or a prebuilt
-        #: injector).  ``None`` — and a spec with no rates/script — leaves
-        #: the run bit-identical to a fault-free simulation.
         self.faults = faults
         self.fault_runtime: Optional["FaultRuntime"] = None
 
@@ -183,11 +198,34 @@ class Simulator:
         self.series = series
         if self.series is not None:
             self.series.attach(self)
-        #: Causal lineage collector (:mod:`repro.obs.lineage`);
-        #: ``None`` when disabled — hook sites pay one identity check
-        #: and the collector itself never mutates simulation state, so
-        #: ``lineage=None`` runs stay bit-identical.
+        #: Causal lineage collector (:mod:`repro.obs.lineage`), fed by
+        #: :meth:`publish`; ``None`` when disabled.  May be attached
+        #: after construction (the serve daemon does so after recovery).
         self.lineage = lineage
+
+    # ------------------------------------------------------------------
+    # Lifecycle event stream
+    # ------------------------------------------------------------------
+    @property
+    def observed(self) -> bool:
+        """Whether lifecycle events have a consumer: the tracer is
+        enabled or a lineage collector is attached.  Emission sites
+        check this before building a payload for :meth:`publish`."""
+        return self._tracing or self.lineage is not None
+
+    def publish(self, kind: str, job_id: Optional[int], **data) -> None:
+        """Send one lifecycle event, stamped ``now``, to its consumers.
+
+        Tracing records it and bumps the run counters of its kind
+        (:meth:`MetricsRegistry.count_event`); an attached lineage
+        collector ingests the same payload.  Callers guard on
+        :attr:`observed`.
+        """
+        if self._tracing:
+            self.tracer.emit(self.now, kind, job_id, **data)
+            self.metrics.count_event(kind, data)
+        if self.lineage is not None:
+            self.lineage.emit(self.now, kind, job_id, **data)
 
     # ------------------------------------------------------------------
     # Public API for schedulers
@@ -271,26 +309,14 @@ class Simulator:
         # A new resident slows any mates down; refresh the whole GPU set.
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
-        if self.lineage is not None:
-            self.lineage.on_start(
-                self.now, job.job_id, [g.gpu_id for g in gpus],
-                profiling=profiling, overhead=state.overhead_left,
-                progress=job.progress)
-        if self._tracing:
-            mates = [m.job_id for m in self.mates_of(job)]
-            self.tracer.emit(
-                self.now, "start", job.job_id,
+        if self.observed:
+            self.publish(
+                "start", job.job_id,
                 name=job.name, gpus=[g.gpu_id for g in gpus],
                 nodes=[g.node_id for g in gpus], speed=state.speed,
-                mates=mates, profiling=profiling,
-                overhead=state.overhead_left,
-                progress=job.progress,
-                time_limit=time_limit)
-            self.metrics.counter("jobs_started").inc()
-            if profiling:
-                self.metrics.counter("profiler_runs").inc()
-            elif mates:
-                self.metrics.counter("placements_shared").inc()
+                mates=[m.job_id for m in self.mates_of(job)],
+                profiling=profiling, overhead=state.overhead_left,
+                progress=job.progress, time_limit=time_limit)
 
     def stop_job(self, job: Job, preempted: bool = False) -> None:
         """Remove a running job from its GPUs without finishing it."""
@@ -307,19 +333,12 @@ class Simulator:
             job.status = JobStatus.PENDING
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
-        if self.lineage is not None:
-            self.lineage.on_stop(
-                self.now, job.job_id, [g.gpu_id for g in gpus],
-                preempted=preempted, progress=job.progress,
-                profiling=state.is_profiling)
-        if self._tracing:
-            self.tracer.emit(
-                self.now, "preempt" if preempted else "stop", job.job_id,
+        if self.observed:
+            self.publish(
+                "preempt" if preempted else "stop", job.job_id,
                 gpus=[g.gpu_id for g in gpus],
                 nodes=[g.node_id for g in gpus],
                 progress=job.progress, profiling=state.is_profiling)
-            if preempted:
-                self.metrics.counter("preemptions").inc()
 
     # ------------------------------------------------------------------
     # Run loop
@@ -527,13 +546,9 @@ class Simulator:
         if event.kind is EventKind.SUBMIT:
             job = self.jobs[event.job_id]
             job.status = JobStatus.PENDING
-            if self.lineage is not None:
-                self.lineage.on_submit(self.now, job.job_id,
-                                       gpu_num=job.gpu_num, vc=job.vc)
-            if self._tracing:
-                self.tracer.emit(self.now, "submit", job.job_id,
-                                 gpu_num=job.gpu_num, vc=job.vc)
-                self.metrics.counter("jobs_submitted").inc()
+            if self.observed:
+                self.publish("submit", job.job_id,
+                             gpu_num=job.gpu_num, vc=job.vc)
             self.scheduler.on_job_submit(job, self.now)
         elif event.kind is EventKind.FINISH:
             self._handle_finish(event)
@@ -567,19 +582,13 @@ class Simulator:
         self._unfinished -= 1
         self._refresh_speeds_around(gpus)
         self.utilization.update(self.now)
-        if self.lineage is not None:
-            self.lineage.on_finish(
-                self.now, job.job_id, [g.gpu_id for g in gpus],
-                progress=job.progress, profiling=state.is_profiling,
-                jct=job.jct)
-        if self._tracing:
-            self.tracer.emit(self.now, "finish", job.job_id,
-                             gpus=[g.gpu_id for g in gpus],
-                             nodes=[g.node_id for g in gpus],
-                             jct=job.jct, queue_delay=job.queue_delay,
-                             progress=job.progress,
-                             profiling=state.is_profiling)
-            self.metrics.counter("jobs_finished").inc()
+        if self.observed:
+            self.publish("finish", job.job_id,
+                         gpus=[g.gpu_id for g in gpus],
+                         nodes=[g.node_id for g in gpus],
+                         jct=job.jct, queue_delay=job.queue_delay,
+                         progress=job.progress,
+                         profiling=state.is_profiling)
         self.scheduler.on_job_finish(job, self.now)
 
     def _handle_time_limit(self, event) -> None:
@@ -591,14 +600,9 @@ class Simulator:
         job = self.jobs[event.job_id]
         self._integrate(job, state)
         state.time_limit_at = None
-        if self.lineage is not None:
-            self.lineage.on_time_limit(self.now, job.job_id,
-                                       progress=job.progress,
-                                       profiling=state.is_profiling)
-        if self._tracing:
-            self.tracer.emit(self.now, "time_limit", job.job_id,
-                             progress=job.progress,
-                             profiling=state.is_profiling)
+        if self.observed:
+            self.publish("time_limit", job.job_id, progress=job.progress,
+                         profiling=state.is_profiling)
         self.scheduler.on_time_limit(job, self.now)
 
     # ------------------------------------------------------------------
@@ -731,6 +735,7 @@ class Simulator:
             old_speed = state.speed
             state.speed = self._current_speed(job, state)
             if self._tracing and state.speed != old_speed:
+                # Trace only: no counter or cause story, so no publish.
                 self.tracer.emit(self.now, "speed", jid, speed=state.speed)
             self._reschedule_finish(job, state)
 

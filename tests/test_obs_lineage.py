@@ -21,6 +21,7 @@ import pytest
 
 from repro import quick_simulation
 from repro.cli import main
+from repro.core.factory import make_scheduler
 from repro.obs import RingBufferTracer
 from repro.obs.lineage import (
     COMPONENTS,
@@ -33,9 +34,15 @@ from repro.obs.lineage import (
     lineage_from_trace,
 )
 from repro.obs.tracer import events_from_dicts, read_jsonl
+from repro.sim import Simulator
 from repro.sim.events import EventKind
+from repro.traces import TraceGenerator, get_spec
 
 FAULTS = "node_mtbf=43200,node_mttr=1800,crash_rate=0.3,seed=7"
+#: Profiling-cluster failures with no retry budget: some jobs fail
+#: permanently while profiling.
+PROFILER_FAULTS = ("profiler_mtbf=2000,profiler_mttr=600,crash_rate=3.0,"
+                   "retry_limit=0,seed=11")
 
 #: Memoized venus@120 runs — the property matrix reuses them freely.
 _RUNS = {}
@@ -109,9 +116,15 @@ class TestBitIdentity:
     def test_lineage_off_is_bit_identical(self):
         base = quick_simulation(trace="venus", scheduler="lucid",
                                 n_jobs=120, seed=3, lineage=None)
-        observed = quick_simulation(trace="venus", scheduler="lucid",
-                                    n_jobs=120, seed=3,
-                                    lineage=LineageCollector())
+        generator = TraceGenerator(get_spec("venus").with_jobs(120)
+                                   .with_seed(3))
+        scheduler = make_scheduler("lucid", generator.generate_history())
+        observed = Simulator(generator.build_cluster(),
+                             generator.generate(), scheduler,
+                             lineage=LineageCollector()).run()
+        # Lineage alone is not tracing: no decision audit, no metrics.
+        assert observed.telemetry is None
+        assert scheduler.audit is None
         assert base.makespan == observed.makespan
         assert len(base.records) == len(observed.records)
         for lhs, rhs in zip(base.records, observed.records):
@@ -134,24 +147,25 @@ class TestBitIdentity:
 
 class TestOfflineParity:
     def test_trace_roundtrip_matches_live(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        tracer = RingBufferTracer(sink=path)
-        live = LineageCollector()
-        quick_simulation(trace="venus", scheduler="lucid", n_jobs=120,
-                         seed=1, tracer=tracer, lineage=live)
-        tracer.close()
-        offline = lineage_from_trace(
-            events_from_dicts(read_jsonl(path)))
-        live_decs = decompose_all(live)
-        off_decs = decompose_all(offline)
-        assert set(off_decs) == set(live_decs)
-        for job_id, lhs in live_decs.items():
-            rhs = off_decs[job_id]
-            assert rhs.jct == pytest.approx(lhs.jct, abs=1e-9)
-            for name in COMPONENTS:
-                assert getattr(rhs, name) == pytest.approx(
-                    getattr(lhs, name), abs=1e-6), (job_id, name)
-            assert rhs.blockers.keys() == lhs.blockers.keys()
+        """``repro why --trace`` rebuilds the live DAG node for node,
+        for every scheduler, with faults off, on, and on the profiling
+        cluster."""
+        for scheduler in ("fifo", "tiresias", "lucid"):
+            for n, faults in enumerate((None, FAULTS, PROFILER_FAULTS)):
+                path = str(tmp_path / f"{scheduler}-{n}.jsonl")
+                tracer = RingBufferTracer(sink=path)
+                live = LineageCollector()
+                quick_simulation(trace="venus", scheduler=scheduler,
+                                 n_jobs=120, seed=1, faults=faults,
+                                 tracer=tracer, lineage=live)
+                tracer.close()
+                offline = lineage_from_trace(
+                    events_from_dicts(read_jsonl(path)))
+                case = (scheduler, faults)
+                assert [e.as_dict() for e in offline.events] \
+                    == [e.as_dict() for e in live.events], case
+                assert [offline.route_of(e) for e in offline.events] \
+                    == [live.route_of(e) for e in live.events], case
 
 
 class TestCriticalPath:
@@ -174,7 +188,7 @@ class TestCriticalPath:
 
     def test_non_terminal_job_raises(self):
         collector = LineageCollector()
-        collector.on_submit(0.0, 1, gpu_num=1, vc="vc1")
+        collector.emit(0.0, "submit", 1, gpu_num=1, vc="vc1")
         with pytest.raises(ValueError):
             decompose(collector, 1)
 
